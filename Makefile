@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: reprolint ruff mypy lint test fleet-smoke trace-smoke edge-smoke edge-topology-smoke gp-smoke fleet-scale-smoke scenario-smoke bench bench-smoke check
+.PHONY: reprolint ruff mypy lint test fleet-smoke trace-smoke edge-smoke edge-topology-smoke gp-smoke scenario-smoke bench bench-smoke check
 
 reprolint:
 	PYTHONPATH=tools $(PYTHON) -m reprolint src benchmarks examples \
@@ -76,19 +76,6 @@ gp-smoke:
 	cmp /tmp/repro-gp-smoke-a.txt /tmp/repro-gp-smoke-b.txt
 	@echo "gp-smoke: sparse-tier fleet is bit-reproducible"
 
-# Shard-parallel determinism smoke: the seed-2024 fleet stepped in 4
-# worker-process cohorts must render byte-identically to `--shards 1`
-# (the SoA core's headline contract — see docs/fleet.md).
-fleet-scale-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro fleet --sessions 12 --seed 2024 \
-		--edge-servers 3 --initial 2 --iterations 3 --shards 1 \
-		> /tmp/repro-fleet-scale-a.txt
-	PYTHONPATH=src $(PYTHON) -m repro fleet --sessions 12 --seed 2024 \
-		--edge-servers 3 --initial 2 --iterations 3 --shards 4 \
-		> /tmp/repro-fleet-scale-b.txt
-	cmp /tmp/repro-fleet-scale-a.txt /tmp/repro-fleet-scale-b.txt
-	@echo "fleet-scale-smoke: 4-shard fleet is byte-identical to shards=1"
-
 # Scenario replay smoke: compile-and-run one catalog scenario twice at a
 # fixed seed and byte-compare the replay artifacts (the catalog's
 # name+seed→identical-trace contract — see docs/scenarios.md).
@@ -120,4 +107,4 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_microbench.py -q \
 		--benchmark-disable
 
-check: lint test fleet-smoke trace-smoke edge-smoke edge-topology-smoke gp-smoke fleet-scale-smoke scenario-smoke bench-smoke
+check: lint test fleet-smoke trace-smoke edge-smoke edge-topology-smoke gp-smoke scenario-smoke bench-smoke

@@ -13,13 +13,35 @@ acquisition returns a score to be **maximized** over candidates.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 from scipy.stats import norm
 
 from repro.bo.gp import Surrogate
 from repro.errors import ConfigurationError
+
+
+def expected_improvement(
+    mean: np.ndarray,
+    std: np.ndarray,
+    best_y: Union[float, np.ndarray],
+    xi: float,
+) -> np.ndarray:
+    """Closed-form EI of a Gaussian posterior, clipped at zero.
+
+    ``best_y`` broadcasts against ``mean``/``std`` (a scalar incumbent
+    for one session, a ``(B, 1)`` column for a batch). Where ``std`` has
+    collapsed (≤ 1e-12) EI degenerates to the plain improvement
+    ``max(best - μ - ξ, 0)``. The single source for both the
+    per-session acquisition and the fleet's batched pass.
+    """
+    improvement = best_y - mean - xi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = improvement / std
+        ei = improvement * norm.cdf(u) + std * norm.pdf(u)
+    ei = np.where(std > 1e-12, ei, np.maximum(improvement, 0.0))
+    return np.clip(ei, 0.0, None)
 
 
 class AcquisitionFunction(ABC):
@@ -56,12 +78,7 @@ class ExpectedImprovement(AcquisitionFunction):
         self, gp: Surrogate, x: np.ndarray, best_y: float
     ) -> np.ndarray:
         post = gp.predict(x)
-        improvement = best_y - post.mean - self.xi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = improvement / post.std
-            ei = improvement * norm.cdf(u) + post.std * norm.pdf(u)
-        ei = np.where(post.std > 1e-12, ei, np.maximum(improvement, 0.0))
-        return np.clip(ei, 0.0, None)
+        return expected_improvement(post.mean, post.std, best_y, self.xi)
 
 
 class ProbabilityOfImprovement(AcquisitionFunction):

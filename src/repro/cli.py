@@ -148,10 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "--gp-threshold (docs/optimizer.md)")
     fleet.add_argument("--gp-threshold", type=int, metavar="N", default=64,
                        help="sparse-tier switch point n* and support budget")
-    fleet.add_argument("--shards", type=int, metavar="N", default=1,
-                       help="step the fleet in N parallel worker processes "
-                            "(contiguous spec cohorts; output is "
-                            "byte-identical to --shards 1 at the same seed)")
     fleet.add_argument("--export", metavar="PATH", default=None,
                        help="write the fleet trace as JSON")
     fleet.add_argument("--store", metavar="PATH", default=None,
@@ -297,7 +293,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         edge=edge_config,
         topology=topology,
         placement=args.placement,
-        shards=args.shards,
     )
     print(fleet_exp.render(experiment))
     if args.export:

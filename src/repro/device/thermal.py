@@ -82,10 +82,9 @@ class ThermalSpec:
 
     The fleet config and the scenario catalog carry one of these instead
     of a live :class:`ThermalModel` — model instances hold mutable
-    temperature state and must be built fresh per session (and per shard
-    worker). Fields mirror the model's constructor; see there for
-    semantics. Validation happens in :meth:`build` via the model's own
-    constructor checks.
+    temperature state and must be built fresh per session. Fields
+    mirror the model's constructor; see there for semantics. Validation
+    happens in :meth:`build` via the model's own constructor checks.
     """
 
     ambient_c: float = 30.0

@@ -64,16 +64,13 @@ def run_fleet_experiment(
     edge: Optional[EdgeConfig] = None,
     topology: Optional[EdgeTopologyConfig] = None,
     placement: str = "price-aware",
-    shards: int = 1,
 ) -> FleetExperimentResult:
     """Run the mixed fleet; pass ``warm_start=False`` for an all-cold
     control run (every session ignores the store on admission), an
     :class:`~repro.edge.runtime.EdgeConfig` to stand up one shared edge
     server all sessions offload to and contend on, or an
     :class:`~repro.edge.topology.EdgeTopologyConfig` to route sessions
-    through a multi-server topology under ``placement``. ``shards > 1``
-    steps the fleet in parallel worker processes with byte-identical
-    output (see :mod:`repro.fleet.shard`)."""
+    through a multi-server topology under ``placement``."""
     cfg = config if config is not None else HBOConfig()
     specs = default_fleet_specs(n_sessions, cfg, seed=seed)
     fleet_config = FleetConfig(
@@ -82,7 +79,6 @@ def run_fleet_experiment(
         edge=edge,
         topology=topology,
         placement=placement,
-        shards=shards,
     )
     fleet_store = store if store is not None else SharedConfigStore()
     result = run_fleet(

@@ -27,14 +27,13 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import norm
 
+from repro.bo.acquisition import expected_improvement
+from repro.bo.gp import _JITTERS
 from repro.bo.kernels import RBF, Kernel, Matern
 from repro.bo.optimizer import BayesianOptimizer
 from repro.errors import FleetError, GPFitError
 from repro.obs import runtime as obs
-
-_JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
 
 def _batched_distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -197,16 +196,11 @@ def batched_expected_improvement(
 ) -> np.ndarray:
     """EI over a ``(B, C)`` posterior with per-session incumbents.
 
-    Same closed form as :class:`~repro.bo.acquisition.ExpectedImprovement`
-    (cost minimization, exploration margin ``xi``), vectorized across the
+    The closed form of :func:`~repro.bo.acquisition.expected_improvement`
+    (cost minimization, exploration margin ``xi``), broadcast across the
     batch axis.
     """
-    improvement = best_y[:, None] - mean - xi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = improvement / std
-        ei = improvement * norm.cdf(u) + std * norm.pdf(u)
-    ei = np.where(std > 1e-12, ei, np.maximum(improvement, 0.0))
-    return np.clip(ei, 0.0, None)
+    return expected_improvement(mean, std, best_y[:, None], xi)
 
 
 class SharedOptimizerService:

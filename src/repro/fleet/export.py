@@ -6,11 +6,6 @@ analyzer (RL006) flagged the edge: ``repro.sim`` sits below
 the fleet result types was an upward dependency. The fleet serializers
 now live with the fleet; :mod:`repro.sim.export` keeps thin lazy
 wrappers for existing call sites (an allowlisted backward-compat seam).
-
-The schema is shard-agnostic: a ``shards > 1`` run feeds the exact same
-`FleetResult` through here and serializes byte-identically to
-``shards=1`` — no extra keys, no shard provenance. Sharding is a
-stepping strategy, not an output format (see :mod:`repro.fleet.shard`).
 """
 
 from __future__ import annotations

@@ -70,11 +70,6 @@ class FleetConfig:
     edge_drift: Optional[Mapping[str, Tuple[Tuple[float, float], ...]]] = None
     #: Scheduled server outages (topology mode only).
     edge_outages: Tuple[ServerOutage, ...] = ()
-    #: Shard-parallel cohorts: split the spec list into this many
-    #: contiguous blocks, each stepped in its own worker process (see
-    #: :mod:`repro.fleet.shard`). Any value reproduces the ``shards=1``
-    #: output byte-for-byte at the same seed.
-    shards: int = 1
     #: Thermal-throttling gate (off by default): when set, sessions whose
     #: spec carries ``thermal=True`` get a fresh
     #: :class:`~repro.device.thermal.ThermalModel` built from these
@@ -86,21 +81,19 @@ class FleetConfig:
     #: events once, right before that tick's proposals, so the §IV-E
     #: distance→culling→latency mechanism runs inside fleet runs. Built
     #: by the scenario engine's mobility axis; ``None`` (default) is the
-    #: legacy static-scene path. Requires ``shards == 1``.
+    #: legacy static-scene path.
     session_events: Optional[Mapping[str, Tuple[SceneEvent, ...]]] = None
     #: Per-session wireless-link bandwidth schedules, session id →
     #: (time_s, scale) breakpoints — the mobility axis's link half (a
     #: user walking away from their serving cell). Applied to the
     #: session's own link each tick; scales must respect the link's
     #: ``[min_scale, max_scale]`` band. Requires an edge (legacy or
-    #: topology) and ``shards == 1``.
+    #: topology).
     link_drift: Optional[Mapping[str, Tuple[Tuple[float, float], ...]]] = None
 
     def __post_init__(self) -> None:
         if self.tick_s <= 0:
             raise FleetError(f"tick_s must be > 0, got {self.tick_s}")
-        if self.shards < 1:
-            raise FleetError(f"shards must be >= 1, got {self.shards}")
         if self.edge is not None and self.topology is not None:
             raise FleetError(
                 "configure either the legacy singleton edge or a topology, "
@@ -126,11 +119,6 @@ class FleetConfig:
                         f"edge_outages names unknown node {episode.node!r} "
                         f"(topology has {sorted(names)})"
                     )
-        if self.shards > 1 and (self.session_events or self.link_drift):
-            raise FleetError(
-                "session_events/link_drift run in the coordinator's tick "
-                "loop and are not shard-aware; use shards=1"
-            )
         if self.link_drift and self.edge is None and self.topology is None:
             raise FleetError(
                 "link_drift needs an edge (legacy or topology) — device-only "
@@ -154,9 +142,7 @@ def propose_and_begin(
     Guided rows are grouped by the ``space_dim`` column (ascending) and
     each group takes one :class:`SharedOptimizerService` GP pass;
     initial-phase rows ask their own samplers. Returns the begun
-    ``(row, pending)`` pairs, the dims proposed, and the guided count —
-    shared verbatim by the in-process scheduler and the shard workers so
-    both paths step bit-identically.
+    ``(row, pending)`` pairs, the dims proposed, and the guided count.
     """
     active_idx = table.active_indices()
     guided_mask = table.guided_mask()
@@ -571,17 +557,5 @@ def run_fleet(
     config: Optional[FleetConfig] = None,
     store: Optional[SharedConfigStore] = None,
 ) -> FleetResult:
-    """Build a scheduler, run the fleet, return the result.
-
-    ``config.shards > 1`` routes through the shard-parallel coordinator
-    (:mod:`repro.fleet.shard`); any shard count reproduces the
-    ``shards=1`` result byte-for-byte at the same seed.
-    """
-    cfg = config if config is not None else FleetConfig()
-    if cfg.shards > 1:
-        from repro.fleet.shard import ShardedFleetScheduler
-
-        return ShardedFleetScheduler(
-            specs, seed=seed, config=cfg, store=store
-        ).run()
-    return FleetScheduler(specs, seed=seed, config=cfg, store=store).run()
+    """Build a scheduler, run the fleet, return the result."""
+    return FleetScheduler(specs, seed=seed, config=config, store=store).run()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional
 
 import numpy as np
 
@@ -315,98 +315,6 @@ class FleetSession:
             edge_runtime = self._admit_to_topology()
             if edge_runtime is not None:
                 self.attached_tick = tick
-        self._finish_admission(
-            tick,
-            session_seed,
-            edge_runtime,
-            store=store,
-            warm_start=warm_start,
-            entry=None,
-        )
-
-    def admit_directed(
-        self,
-        tick: int,
-        directive: Tuple,
-        warm_entry: Optional[WarmStartEntry] = None,
-    ) -> None:
-        """Shard-worker admission with coordinator-made decisions.
-
-        The coordinator owns the store and the authoritative topology, so
-        placement and warm lookup arrive as inputs; the RNG draws here
-        replay :meth:`admit`'s exact order (session seed first, link seed
-        only when an edge tenancy is actually granted), which is what
-        keeps a sharded run byte-identical to ``shards=1``.
-
-        ``directive``: ``("device",)`` (no edge), ``("legacy",)``
-        (singleton edge server), ``("node", name)`` (admitted to a
-        topology node), or ``("rejected",)`` (placement rejected —
-        device fallback, no link draw).
-        """
-        if self.phase is not SessionPhase.WAITING:
-            raise FleetError(f"{self.spec.session_id}: admitted twice")
-        spec = self.spec
-        session_seed = int(self.rng.integers(0, 2**31))
-        edge_runtime = None
-        kind = directive[0]
-        if kind == "legacy":
-            if self._edge_config is None:
-                raise FleetError(f"{spec.session_id}: no edge config to admit to")
-            link_seed = int(self.rng.integers(0, 2**31))
-            edge_runtime = build_edge_runtime(
-                config=self._edge_config,
-                seed=link_seed,
-                session_id=spec.session_id,
-                server=self._edge_server,
-            )
-            self._link_seed = link_seed
-        elif kind == "node":
-            if self._topology is None:
-                raise FleetError(f"{spec.session_id}: no topology to admit to")
-            profiles = _offloadable_profiles(spec)
-            est = 0.0
-            for profile in profiles:
-                est += edge_demand(profile)
-            self._est_streams = est
-            self._edge_profile = max(profiles, key=edge_demand)
-            link_seed = int(self.rng.integers(0, 2**31))
-            self._link_seed = link_seed
-            node = self._topology.node(directive[1])
-            link = WirelessLink(node.config.link, link_seed)
-            self._topology.attach(spec.session_id, directive[1], link)
-            self.edge_node = directive[1]
-            edge_runtime = EdgeRuntime(
-                EdgeConfig(server=node.config.server, link=node.config.link),
-                node.server,
-                link,
-                session_id=spec.session_id,
-                register=False,
-            )
-            self.attached_tick = tick
-        elif kind not in ("device", "rejected"):
-            raise FleetError(
-                f"{spec.session_id}: unknown admission directive {kind!r}"
-            )
-        self._finish_admission(
-            tick,
-            session_seed,
-            edge_runtime,
-            store=None,
-            warm_start=False,
-            entry=warm_entry,
-        )
-
-    def _finish_admission(
-        self,
-        tick: int,
-        session_seed: int,
-        edge_runtime: Optional[EdgeRuntime],
-        store: Optional[SharedConfigStore],
-        warm_start: bool,
-        entry: Optional[WarmStartEntry],
-    ) -> None:
-        """Shared admission tail: system, optimizer, warm seed, columns."""
-        spec = self.spec
         self.system = build_system(
             spec.scenario,
             spec.taskset,
@@ -440,6 +348,7 @@ class FleetSession:
             gp_tier=cfg.gp_tier,
             sparse_threshold=cfg.gp_sparse_threshold,
         )
+        entry: Optional[WarmStartEntry] = None
         if store is not None and warm_start:
             entry = store.warm_start_for(self.signature, scope=spec.device)
         # A donor whose observations live in a different-dimensional
@@ -665,13 +574,8 @@ class FleetSession:
 
     def finish(
         self, tick: int, store: Optional[SharedConfigStore] = None
-    ) -> Optional[Dict[str, Any]]:
-        """Lock in the best configuration and donate to the shared store.
-
-        Returns the donation payload (the exact ``store.donate`` kwargs)
-        so a shard worker without the authoritative store can ship it to
-        the coordinator; ``None`` when the session has no signature.
-        """
+    ) -> None:
+        """Lock in the best configuration and donate to the shared store."""
         if not self.active:
             raise FleetError(f"{self.spec.session_id}: finished while not active")
         if not self.results or self.system is None or self.optimizer is None:
@@ -696,12 +600,11 @@ class FleetSession:
                 for task_id, resource in allocation.items()
             }
         self.system.apply(allocation, best.triangle_ratio)
-        donation: Optional[Dict[str, Any]] = None
-        if self.signature is not None:
+        if store is not None and self.signature is not None:
             # Donate only this session's own measurements — warm-start
             # observations would otherwise echo through the fleet forever.
             own = self.optimizer.state.observations[self.optimizer.n_warm :]
-            donation = dict(
+            store.donate(
                 signature=self.signature,
                 allocation=allocation,
                 triangle_ratio=best.triangle_ratio,
@@ -710,8 +613,6 @@ class FleetSession:
                 scope=self.spec.device,
                 session_id=self.spec.session_id,
             )
-            if store is not None:
-                store.donate(**donation)
         # Leave the shared edge server: a finished session's offloaded
         # demand must stop slowing the tenants still running.
         if self.system.device.edge is not None:
@@ -724,7 +625,6 @@ class FleetSession:
                 self.system.device.edge.release()
         self.phase = SessionPhase.DONE
         self.end_tick = tick
-        return donation
 
     # ------------------------------------------------------------ reporting
 

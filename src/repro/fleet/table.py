@@ -15,10 +15,7 @@ row views into this table, so:
   ``TaskPlacement`` dataclass hop);
 - fleet aggregates, convergence, and reports come from column math
   (:func:`repro.fleet.telemetry.aggregates_from_columns`), not from
-  re-walking per-session Python lists;
-- a shard worker's sub-table merges back into the coordinator's table
-  by contiguous row block, which is what makes the sharded run's output
-  byte-identical to ``shards=1``.
+  re-walking per-session Python lists.
 
 Numeric column values are bit-identical to what the per-session objects
 held: they are written from the same floats at the same points in the
@@ -463,48 +460,3 @@ class SessionTable:
                 )
             )
         return tuple(reports)
-
-    # ------------------------------------------------------------- sharding
-
-    def absorb(self, start: int, payload: Dict[str, np.ndarray]) -> None:
-        """Merge a shard worker's contiguous row block back, in order.
-
-        ``payload`` carries the worker-truth columns for rows
-        ``start:start+k``; the coordinator's own bookkeeping columns
-        (phase, ticks, placement) are left alone.
-        """
-        k = int(payload["n_results"].shape[0])
-        sl = slice(start, start + k)
-        width = payload["costs"].shape[1]
-        self.costs[sl, :width] = payload["costs"]
-        self.latencies_ms[sl, :width] = payload["latencies_ms"]
-        self.qualities[sl, :width] = payload["qualities"]
-        self.epsilons[sl, :width] = payload["epsilons"]
-        self.n_results[sl] = payload["n_results"]
-        self.best_cost[sl] = payload["best_cost"]
-        self.n_warm[sl] = payload["n_warm"]
-        self.warm_started[sl] = payload["warm_started"]
-        self.migrations[sl] = payload["migrations"]
-        for offset, source in enumerate(payload["warm_source"]):
-            self.warm_source[start + offset] = source
-        for offset, node in enumerate(payload["edge_node"]):
-            self.edge_node[start + offset] = node
-        for offset, reason in enumerate(payload["fallback_reason"]):
-            self.fallback_reason[start + offset] = reason
-
-    def shard_payload(self) -> Dict[str, np.ndarray]:
-        """The worker-truth columns :meth:`absorb` consumes."""
-        return {
-            "costs": self.costs,
-            "latencies_ms": self.latencies_ms,
-            "qualities": self.qualities,
-            "epsilons": self.epsilons,
-            "n_results": self.n_results,
-            "best_cost": self.best_cost,
-            "n_warm": self.n_warm,
-            "warm_started": self.warm_started,
-            "migrations": self.migrations,
-            "warm_source": list(self.warm_source),
-            "edge_node": list(self.edge_node),
-            "fallback_reason": list(self.fallback_reason),
-        }

@@ -9,7 +9,7 @@ subsystems get decorrelated streams via ``spawn``.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Union
+from typing import Iterator, List, Union
 
 import numpy as np
 
@@ -41,34 +41,6 @@ def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
     else:
         children = np.random.SeedSequence(seed).spawn(n)
     return [np.random.default_rng(c) for c in children]
-
-
-def spawn_shard_rngs(
-    seed: SeedLike, shard_sizes: Sequence[int]
-) -> List[List[np.random.Generator]]:
-    """Split ``seed`` into contiguous per-shard generator cohorts.
-
-    Spawns ``sum(shard_sizes)`` children exactly as :func:`spawn_rngs` would
-    and partitions them into contiguous slices, so concatenating the shards
-    in order reproduces the unsharded stream list bit-for-bit:
-
-        ``spawn_shard_rngs(s, [a, b]) == [spawn_rngs(s, a+b)[:a],
-        spawn_rngs(s, a+b)[a:]]``
-
-    This is what lets a sharded fleet run byte-identical to ``shards=1``:
-    shard k's sessions draw from the very same generators they would have
-    owned in a single-process run.
-    """
-    sizes = [int(s) for s in shard_sizes]
-    if any(s < 0 for s in sizes):
-        raise ValueError(f"shard sizes must be >= 0, got {sizes}")
-    flat = spawn_rngs(seed, sum(sizes))
-    shards: List[List[np.random.Generator]] = []
-    start = 0
-    for size in sizes:
-        shards.append(flat[start : start + size])
-        start += size
-    return shards
 
 
 def stream(seed: SeedLike) -> Iterator[np.random.Generator]:

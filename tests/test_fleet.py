@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.bo.acquisition import ExpectedImprovement
-from repro.bo.gp import GaussianProcess
+from repro.bo.gp import GaussianProcess, GPPosterior
 from repro.bo.kernels import RBF, Matern
 from repro.bo.optimizer import BayesianOptimizer
 from repro.bo.space import HBOSpace
@@ -60,6 +60,16 @@ def _datasets(rng, sizes, dim=4):
     xs = [rng.uniform(0.1, 1.0, size=(n, dim)) for n in sizes]
     ys = [rng.normal(0.0, 1.0, size=n) for n in sizes]
     return xs, ys
+
+
+class _FixedPosterior:
+    """Surrogate stub answering every query with one given posterior."""
+
+    def __init__(self, mean, std):
+        self._posterior = GPPosterior(mean=mean, std=std)
+
+    def predict(self, x):
+        return self._posterior
 
 
 class TestBatchedKernel:
@@ -116,6 +126,13 @@ class TestBatchedGPService:
                 scores[b],
                 acquisition(reference, queries[b], float(best_y[b])),
                 atol=1e-8,
+            )
+            # Fed the same posterior, both paths run one EI formula and
+            # must agree bit for bit.
+            same_posterior = _FixedPosterior(mean[b], std[b])
+            assert np.array_equal(
+                scores[b],
+                acquisition(same_posterior, queries[b], float(best_y[b])),
             )
 
     def test_degenerate_std_falls_back_to_improvement(self):

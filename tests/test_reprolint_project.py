@@ -356,6 +356,18 @@ class TestParitySingleSourceRule:
         )
         assert violations == []
 
+    def test_second_expected_improvement_copy_fires(self):
+        violations = lint_parity(
+            """\
+            def expected_improvement(mean, std, best_y, xi):
+                improvement = best_y - mean - xi
+                return improvement * cdf(improvement / std)
+            """,
+            Path("src/repro/fleet/fixture.py"),
+        )
+        assert [v.rule_id for v in violations] == ["RL008"]
+        assert "repro.bo.acquisition" in violations[0].message
+
     def test_phi_assignment_outside_cost_modules_fires(self):
         violations = lint_parity(
             """\

@@ -359,12 +359,6 @@ class TestSchedulerHookValidation:
             taskset="CF1", arrival_s=0.0, placement_seed=11,
         )
 
-    def test_hooks_require_single_shard(self) -> None:
-        events = {"s00": (DistanceChange(time_s=1.0,
-                                         user_position=(0.0, 0.0, 1.0)),)}
-        with pytest.raises(FleetError, match="shards"):
-            FleetConfig(hbo=TINY, shards=2, session_events=events)
-
     def test_link_drift_requires_an_edge(self) -> None:
         with pytest.raises(FleetError, match="link_drift needs an edge"):
             FleetConfig(hbo=TINY, link_drift={"s00": ((0.0, 1.0),)})

@@ -16,8 +16,7 @@ Three claims from the structure-of-arrays refactor, each gated:
    period (gate: <1000 ms), and the script runs the 10240-session fleet
    END TO END to prove the scale point is real, not extrapolated.
 3. **Determinism unchanged** — the legacy 16-session seed-2024
-   ``repro fleet`` output must hash to the pinned pre-refactor sha, and
-   a ``--shards 4`` run of the same fleet must be byte-identical to it.
+   ``repro fleet`` output must hash to the pinned pre-refactor sha.
 
 Timings are host-dependent and re-measured by every ``make bench``; the
 determinism checks are exact on any host.
@@ -104,11 +103,11 @@ def _time_pricing_passes(scheduler: FleetScheduler) -> Dict[str, float]:
     }
 
 
-def _fleet_cli(*extra: str) -> bytes:
+def _fleet_cli() -> bytes:
     """The legacy 16-session seed-2024 fleet, exactly as the CLI runs it."""
     return subprocess.run(
         [sys.executable, "-m", "repro", "fleet", "--sessions", "16",
-         "--seed", "2024", *extra],
+         "--seed", "2024"],
         check=True,
         capture_output=True,
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
@@ -142,12 +141,10 @@ def run() -> Dict[str, Any]:
     }
 
     legacy = _fleet_cli()
-    sharded = _fleet_cli("--shards", "4")
     determinism = {
         "legacy_sha_pinned": LEGACY_SHA,
         "legacy_sha_measured": hashlib.sha256(legacy).hexdigest(),
         "legacy_sha_match": hashlib.sha256(legacy).hexdigest() == LEGACY_SHA,
-        "shards4_byte_identical": sharded == legacy,
     }
 
     return {
@@ -164,7 +161,6 @@ def run() -> Dict[str, Any]:
             "tick_ms_at_10k": big["columnar_tick_ms"],
             "max_tick_ms": MAX_TICK_MS,
             "legacy_sha_match": determinism["legacy_sha_match"],
-            "shards4_byte_identical": determinism["shards4_byte_identical"],
         },
         "pricing_pass_1024": small,
         "scale_10240": big,
@@ -194,11 +190,6 @@ def main() -> None:
         raise SystemExit(
             "bench_pr9: the 16-session seed-2024 fleet output moved off "
             "its pinned sha — the refactor broke determinism"
-        )
-    if not headline["shards4_byte_identical"]:
-        raise SystemExit(
-            "bench_pr9: --shards 4 output differs from shards=1 — the "
-            "sharded merge broke byte identity"
         )
     with open(sys.argv[1], "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

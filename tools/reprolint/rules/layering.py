@@ -62,11 +62,10 @@ LAYER_BANDS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("core", ("repro.core",)),
     ("baselines", ("repro.baselines", "repro.userstudy")),
     ("sim-harness", ("repro.sim",)),
-    # Explicit pins for the SoA core: `table` carries the fleet's typed
-    # surface (SessionSpec/HBOConfig/DeviceSimulator references), and
-    # `shard` is the process-orchestration top of the package — both
-    # stay in the fleet band even though they look lower-level.
-    ("fleet", ("repro.fleet", "repro.fleet.table", "repro.fleet.shard")),
+    # Explicit pin for the SoA core: `table` carries the fleet's typed
+    # surface (SessionSpec/HBOConfig/DeviceSimulator references), so it
+    # stays in the fleet band even though it looks lower-level.
+    ("fleet", ("repro.fleet", "repro.fleet.table")),
     # The scenario engine composes fleet configs (so it sits above fleet)
     # but is itself driven by experiments and the CLI (so below app). It
     # must never import `repro.experiments`: the legacy schedule moved

@@ -4,8 +4,10 @@ The scalar↔backend bitwise-parity contract (PR 4/5) holds because every
 float formula that both paths evaluate is written exactly once, in a
 declared leaf module, and called from both sides: edge pricing in
 ``repro.edge.share``, contention/processor-sharing slowdown in the same
-leaf plus ``repro.device.soc``, and the Eq. 2/4/5 cost terms in
-``repro.core.cost`` / ``repro.ar``. A second hand-written copy of any of
+leaf plus ``repro.device.soc``, the Eq. 2/4/5 cost terms in
+``repro.core.cost`` / ``repro.ar``, and the Expected Improvement closed
+form in ``repro.bo.acquisition`` (scored per session and in the fleet's
+batched GP pass). A second hand-written copy of any of
 these formulas can drift by a single association or rounding and break
 bitwise parity without failing any behavioral test.
 
@@ -63,6 +65,7 @@ _QUALITY_ALLOWED = frozenset(
 )
 for _name in ("object_quality", "average_quality"):
     _DEF_FAMILIES[_name] = _QUALITY_ALLOWED
+_DEF_FAMILIES["expected_improvement"] = frozenset({"repro.bo.acquisition"})
 
 # Assignment targets that name registered cost quantities.
 _TARGET_FAMILIES: Dict[str, FrozenSet[str]] = {
